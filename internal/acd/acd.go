@@ -371,7 +371,7 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 	// One H-round with a sketch payload (Lemma 5.8).
 	cg.ChargeHRounds("acd/buddy-exchange", 1, maxBits)
 	lowCut := (1 - 1.5*xi) * delta
-	joinCut := (1 + 1.5*xi) * delta
+	joinCut := sketch.NewCut((1 + 1.5*xi) * delta)
 	// The buddy predicate runs exactly once per edge, memoized into the
 	// packed per-slot bitmap: pass A evaluates forward slots (u > v) with
 	// per-worker estimator scratch, pass B mirrors them onto the reverse
@@ -381,9 +381,11 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 		func(v int) bool { return ws.deg[v] >= lowCut },
 		func(sc *sketch.Scratch[int8], v, u int) bool {
 			// F ≤ (1+1.5ξ)Δ means the joint neighborhood is small, i.e. the
-			// neighborhoods overlap heavily: a buddy edge. The fused kernel
-			// estimates the union without materializing the merged row.
-			return sc.Est.EstimateMerged(eng.Row(v), eng.Row(u)) <= joinCut
+			// neighborhoods overlap heavily: a buddy edge. MergedAtMost
+			// answers the threshold on the merged row's harmonic statistic,
+			// inverting it only near the cut, with no merged row
+			// materialized.
+			return sc.Est.MergedAtMost(eng.Row(v), eng.Row(u), joinCut)
 		})
 	if err != nil {
 		return nil, err

@@ -83,14 +83,16 @@ func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng
 	}
 	cg.ChargeHRounds("acd/buddy-exchange", 1, maxBits)
 	lowCut := (1 - 1.5*xi) * delta
-	joinCut := (1 + 1.5*xi) * delta
+	// The buddy predicate's threshold, prepared once for MergedAtMost.
+	joinCut := sketch.NewCut((1 + 1.5*xi) * delta)
 	var wave2 shard.CollectOptions
 	var assembleACD func() (*Decomposition, error)
 	if !streaming {
 		g := sg.G
 		// Buddy predicate: each shard evaluates the forward edges of its
 		// owned vertices from its local rows (halo rows arrived in the
-		// collect's exchange), writing global slots through the slice slot
+		// collect's exchange) with the same MergedAtMost threshold test as
+		// the unsharded path, writing global slots through the slice slot
 		// map; the mirror pass then reflects them onto reverse slots.
 		buddy, err := fillEdgeBitsSharded(g, se, ws, t,
 			func(v int) bool { return ws.deg[v] >= lowCut },
@@ -100,7 +102,7 @@ func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng
 				if u <= v || ws.deg[u] < lowCut {
 					return
 				}
-				if sc.Est.EstimateMerged(se.OutRowLocal(s, lv), se.OutRowLocal(s, lu)) <= joinCut {
+				if sc.Est.MergedAtMost(se.OutRowLocal(s, lv), se.OutRowLocal(s, lu), joinCut) {
 					set(int(sl.SlotToGlobal[lslot]))
 				}
 			})
@@ -125,16 +127,16 @@ func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng
 		// No global slots exist: each shard memoizes the predicate into its
 		// own local-slot bitmap, evaluating every owned directed edge — the
 		// kernel's merge is commutative, so both directions of an edge
-		// compute the identical estimate and the bits agree with the
-		// materialized forward+mirror result without a mirror pass (which
-		// would need the global CSR).
+		// compute the identical statistic and answer, and the bits agree
+		// with the materialized forward+mirror result without a mirror pass
+		// (which would need the global CSR).
 		buddy, wordOff, err := fillEdgeBitsShardedLocal(se, ws, t,
 			func(v int) bool { return ws.deg[v] >= lowCut },
 			func(s int, sl *graph.ShardSlice, sc *sketch.Scratch[int8], lv, lu, lslot int, set func(slot int)) {
 				if ws.deg[sl.ToGlobal(lu)] < lowCut {
 					return
 				}
-				if sc.Est.EstimateMerged(se.OutRowLocal(s, lv), se.OutRowLocal(s, lu)) <= joinCut {
+				if sc.Est.MergedAtMost(se.OutRowLocal(s, lv), se.OutRowLocal(s, lu), joinCut) {
 					set(lslot)
 				}
 			})

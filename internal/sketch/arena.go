@@ -68,19 +68,19 @@ func (a *Arena[C]) Fill(k Kernel[C], seed uint64) error {
 }
 
 // Scratch bundles the per-goroutine reusable buffers of max-kernel waves: a
-// merge row for two-row unions, the estimator histogram, and the counting
-// buffer behind deviation encodings. The zero value is ready to use.
+// merge row for two-row unions and the estimator histogram. The zero value
+// is ready to use.
 type Scratch[C Cell] struct {
 	// Est estimates rows without allocating per call.
 	Est    MaxEstimator[C]
 	merged []C
-	counts []int
 }
 
 // MergeTwo returns max(a, b) in the scratch's merge row. The returned slice
 // is valid until the next MergeTwo. Hot loops that only need the estimate of
-// the union should call Est.EstimateMerged instead, which fuses the merge
-// into the histogram pass with no materialized row.
+// the union should call Est.EstimateMerged instead — or Est.MergedAtMost when
+// they only threshold it — which fuse the merge into the histogram pass with
+// no materialized row.
 func (sc *Scratch[C]) MergeTwo(a, b []C) []C {
 	sc.merged = append(sc.merged[:0], a...)
 	m := sc.merged
@@ -90,12 +90,4 @@ func (sc *Scratch[C]) MergeTwo(a, b []C) []C {
 		}
 	}
 	return m
-}
-
-// EncodedBits returns the deviation-encoded size of the row with the
-// baseline-selection buffer reused across calls.
-func (sc *Scratch[C]) EncodedBits(row []C) int {
-	k, counts := DeviationBaseline(row, sc.counts)
-	sc.counts = counts
-	return DeviationBits(row, k)
 }

@@ -80,14 +80,32 @@ func BenchmarkMergeMaxGeneric(b *testing.B) {
 var benchEstimate float64
 
 // BenchmarkEstimateMerged measures the fused merge+estimate kernel on the
-// per-edge hot-path shape: two collected rows whose union the buddy
-// predicate thresholds.
+// per-edge shape: two collected rows whose union the buddy predicate
+// thresholds. It is the full-inversion reference BenchmarkMergedAtMost is
+// compared against.
 func BenchmarkEstimateMerged(b *testing.B) {
 	x, y := benchRows8(1099)
 	var sc Scratch[int8]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchEstimate += sc.Est.EstimateMerged(x, y)
+	}
+}
+
+// benchDecision keeps predicate results observable across iterations.
+var benchDecision bool
+
+// BenchmarkMergedAtMost measures the buddy predicate's per-edge call on the
+// same rows: the fused histogram fill and harmonic statistic, decided
+// against a cut at twice the union's estimate, well outside the guard band,
+// as nearly every decomposition edge is.
+func BenchmarkMergedAtMost(b *testing.B) {
+	x, y := benchRows8(1099)
+	var sc Scratch[int8]
+	cut := NewCut(2 * sc.Est.EstimateMerged(x, y))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDecision = sc.Est.MergedAtMost(x, y, cut)
 	}
 }
 

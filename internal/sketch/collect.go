@@ -69,7 +69,6 @@ func CollectRows[C Cell](g *graph.Graph, k Kernel[C], samples, out *Arena[C], op
 	pm, hasPair := any(k).(PairMerger[C])
 	fold := func(ci int) error {
 		lo, hi := parwork.WeightedChunkBounds(rows, chunks, ci, cum)
-		var counts []int
 		best := 1
 		for v := lo; v < hi; v++ {
 			row := out.Row(v)
@@ -115,7 +114,7 @@ func CollectRows[C Cell](g *graph.Graph, k Kernel[C], samples, out *Arena[C], op
 					row[i] = cell
 				}
 			}
-			if b := k.EncodedBits(row, &counts); b > best {
+			if b := k.EncodedBits(row); b > best {
 				best = b
 			}
 		}

@@ -140,7 +140,11 @@ func DeviationBaseline[C Cell](row []C, counts []int) (int, []int) {
 // EncodeDeviation serializes the row with the deviation encoding:
 // Elias-gamma of t, Elias-gamma of baseline k (offset so k ≥ -1 is
 // representable), then a sign bit and unary deviation per trial.
-func EncodeDeviation[C Cell](row []C) []byte {
+func EncodeDeviation[C Cell](row []C) []byte { return encodeDeviation(row).buf }
+
+// encodeDeviation is EncodeDeviation returning the writer, whose nbit is the
+// exact bit length the pricing functions must reproduce.
+func encodeDeviation[C Cell](row []C) *bitWriter {
 	w := &bitWriter{}
 	w.writeEliasGamma(uint64(len(row)) + 1)
 	k, _ := DeviationBaseline(row, nil)
@@ -155,7 +159,7 @@ func EncodeDeviation[C Cell](row []C) []byte {
 			w.writeUnary(-dev)
 		}
 	}
-	return w.buf
+	return w
 }
 
 // DeviationBits returns the exact bit length of EncodeDeviation's output for

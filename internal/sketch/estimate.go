@@ -14,9 +14,20 @@ const maxTrackedY = 64
 // law: P[Y ≤ y] = (1 − 2^−(y+1))^d.
 var logTail [maxTrackedY + 2]float64
 
+// histWeight[k] = 2^−(k−1), the weight of histogram bucket k (value k−1)
+// in the harmonic sum; harmonicMean reads its 2^−y as histWeight[y+1]. The
+// Empty bucket weighs 2^1 and harmonicMean reads up to y = len(logTail)−1 =
+// 65, so the table spans exponents −1…65: 67 entries. Powers of two are exact
+// in float64, so every entry equals math.Exp2 of the same exponent bit for
+// bit and the table changes no float downstream.
+var histWeight [maxTrackedY + 3]float64
+
 func init() {
 	for y := range logTail {
 		logTail[y] = math.Log1p(-math.Exp2(-float64(y + 1)))
+	}
+	for k := range histWeight {
+		histWeight[k] = math.Ldexp(1, 1-k)
 	}
 }
 
@@ -35,7 +46,7 @@ func harmonicMean(d float64) float64 {
 		default:
 			f = math.Exp(arg)
 		}
-		sum += math.Exp2(-float64(y)) * (f - prev)
+		sum += histWeight[y+1] * (f - prev)
 		if f == 1 {
 			// All remaining increments vanish.
 			return sum
@@ -114,36 +125,48 @@ func (e *MaxEstimator[C]) fillMerged(a, b []C) {
 	}
 }
 
-// estimateFromHist inverts the filled histogram: S = (1/t)·Σ 2^−Y_i, then
-// damped log-Newton against harmonicMean (harmonicMean(d) ≈ c/d, so each
-// step is a near-exact Newton step in ln d). It allocates nothing beyond the
-// reused histogram.
+// harmonicStat returns S = (1/t)·Σ 2^−Y_i from the filled histogram. Index
+// k holds value k−1; the Empty cell (value −1, weight 2) only arises in
+// hand-built rows and pushes S up (d̂ down).
+func (e *MaxEstimator[C]) harmonicStat(t int) float64 {
+	var sum float64
+	for k, c := range e.hist {
+		if c > 0 {
+			sum += float64(c) * histWeight[k]
+		}
+	}
+	return sum / float64(t)
+}
+
+// invertHarmonic solves harmonicMean(d) = S by damped log-Newton
+// (harmonicMean(d) ≈ c/d, so each step is a near-exact Newton step in ln d).
+// converged reports that the loop stopped on |harmonicMean(d)/S − 1| < 1e-10
+// rather than on the step cap or a vanishing harmonicMean; MergedAtMost's
+// exactness argument rests on it.
+func invertHarmonic(S float64) (d float64, converged bool) {
+	d = 1 / S
+	for i := 0; i < 48; i++ {
+		g := harmonicMean(d)
+		if g <= 0 {
+			return d, false
+		}
+		ratio := g / S
+		if math.Abs(ratio-1) < 1e-10 {
+			return d, true
+		}
+		d *= ratio
+	}
+	return d, false
+}
+
+// estimateFromHist inverts the filled histogram: the harmonic statistic S,
+// then invertHarmonic. It allocates nothing beyond the reused histogram.
 func (e *MaxEstimator[C]) estimateFromHist(t int) float64 {
 	if e.hist[0] == t {
 		// No trial saw any element: the counted set is empty.
 		return 0
 	}
-	var sum float64
-	for k, c := range e.hist {
-		if c > 0 {
-			// Index k holds value k−1; the Empty cell (value −1, weight 2)
-			// only arises in hand-built rows and pushes d̂ down.
-			sum += float64(c) * math.Exp2(-float64(k-1))
-		}
-	}
-	S := sum / float64(t)
-	d := 1 / S
-	for i := 0; i < 48; i++ {
-		g := harmonicMean(d)
-		if g <= 0 {
-			break
-		}
-		ratio := g / S
-		if math.Abs(ratio-1) < 1e-10 {
-			break
-		}
-		d *= ratio
-	}
+	d, _ := invertHarmonic(e.harmonicStat(t))
 	return d
 }
 
@@ -160,9 +183,8 @@ func (e *MaxEstimator[C]) Estimate(s []C) float64 {
 // EstimateMerged is the fused merge+estimate kernel: it returns
 // Estimate(max(a, b)) — bit-identical floats — in one pass over the two
 // rows, with no materialized merged row and no separate histogram fill. It
-// is the per-edge hot path of the decomposition's buddy predicate, which
-// previously copied a into scratch, merged b, and re-scanned the result. It
-// panics if the lengths differ.
+// is the reference MergedAtMost is tested against. It panics if the lengths
+// differ.
 func (e *MaxEstimator[C]) EstimateMerged(a, b []C) float64 {
 	if len(a) != len(b) {
 		panic("sketch: EstimateMerged length mismatch")
@@ -173,6 +195,66 @@ func (e *MaxEstimator[C]) EstimateMerged(a, b []C) float64 {
 	}
 	e.fillMerged(a, b)
 	return e.estimateFromHist(t)
+}
+
+// cutBand is the relative half-width of the guard band around S* inside
+// which MergedAtMost falls back to the full inversion.
+const cutBand = 1e-6
+
+// Cut is a count threshold prepared for MergedAtMost: the cut d and the
+// guard band around its harmonic statistic S* = harmonicMean(d), computed
+// once so the per-edge predicate never inverts a statistic outside the band.
+// The zero value is not a valid Cut; use NewCut.
+type Cut struct {
+	d      float64
+	lo, hi float64
+}
+
+// NewCut prepares the threshold d. Cuts below 1 — which the decomposition,
+// whose cut is (1+1.5ξ)Δ with Δ ≥ 1, never builds — get an infinite band, so
+// MergedAtMost runs the full inversion for every row (see MergedAtMost for
+// why the band needs d ≥ 1).
+func NewCut(d float64) Cut {
+	if !(d >= 1) {
+		return Cut{d: d, lo: math.Inf(-1), hi: math.Inf(1)}
+	}
+	s := harmonicMean(d)
+	return Cut{d: d, lo: s * (1 - cutBand), hi: s * (1 + cutBand)}
+}
+
+// MergedAtMost reports EstimateMerged(a, b) <= cut's d — the same answer for
+// every input — while deciding on the harmonic statistic S of the merged row
+// instead of its inverse: true when S > S*·(1+1e-6), false when
+// S < S*·(1−1e-6), and only inside that band the full inversion. It is the
+// per-edge hot path of the decomposition's buddy predicate (Lemma 5.8's
+// test |N(u) ∪ N(v)| ≤ (1+1.5ξ)Δ). It panics if the lengths differ.
+//
+// Why the answers match: harmonicMean is non-increasing, so d̂ ≤ d exactly
+// when harmonicMean(d̂) ≥ S* = harmonicMean(d). The inversion stops once
+// |harmonicMean(d̂)/S − 1| < 1e-10, so outside the band harmonicMean(d̂) sits
+// on the same side of S* as S, with four orders of magnitude to spare. The
+// inversion converges for every statistic a row can produce up to
+// S = 0.676 > harmonicMean(1) = 2/3 (S ≥ 2^−64, since cells clamp at
+// maxTrackedY); above that it stops on its step cap at some d̂ < 1, which is
+// still below every cut d ≥ 1 — the reason NewCut disables the band for
+// smaller cuts. TestInvertHarmonicConverges pins both facts over a dense
+// grid of S.
+func (e *MaxEstimator[C]) MergedAtMost(a, b []C, cut Cut) bool {
+	if len(a) != len(b) {
+		panic("sketch: MergedAtMost length mismatch")
+	}
+	t := len(a)
+	if t == 0 {
+		return 0 <= cut.d
+	}
+	e.fillMerged(a, b)
+	switch S := e.harmonicStat(t); {
+	case S > cut.hi:
+		return true
+	case S < cut.lo:
+		return false
+	}
+	return e.estimateFromHist(t) <= cut.d
 }
 
 // EstimateThreshold implements the literal Lemma 5.2 statistic: compute

@@ -223,6 +223,75 @@ func TestDeviationBitsExact(t *testing.T) {
 	}
 }
 
+// checkPricing asserts the one-pass MaxKernel.EncodedBits equals the
+// three-pass reference DeviationBits(row, DeviationBaseline(row)) and, for
+// rows in the kernel's value domain [Empty, MaxCell8], the exact bit length
+// EncodeDeviation writes.
+func checkPricing(t testing.TB, row []int8) {
+	t.Helper()
+	k, _ := DeviationBaseline(row, nil)
+	want := DeviationBits(row, k)
+	if got := (MaxKernel{}).EncodedBits(row); got != want {
+		t.Fatalf("EncodedBits = %d, DeviationBits = %d (t=%d, row %v)", got, want, len(row), row)
+	}
+	for _, y := range row {
+		if y < Empty {
+			return
+		}
+	}
+	if nbit := encodeDeviation(row).nbit; nbit != want {
+		t.Fatalf("EncodedBits = %d, EncodeDeviation wrote %d bits (t=%d)", want, nbit, len(row))
+	}
+}
+
+// TestMaxKernelEncodedBitsOnePass is the pricing conformance check: the
+// one-pass histogram pricing must reproduce the reference on random,
+// saturated, all-Empty and all-saturated rows, on full-range int8 rows, at
+// every 8-byte alignment, and for t = 1 and even and odd t (the median's
+// lower-tie rule).
+func TestMaxKernelEncodedBitsOnePass(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 28))
+	back := make([]int8, 320)
+	for trial := 0; trial < 400; trial++ {
+		off := trial % 8
+		width := 1 + rng.IntN(300)
+		if trial%50 == 0 {
+			width = 1
+		}
+		var src []int8
+		switch trial % 4 {
+		case 0:
+			src = randMaxRow(rng, width)
+		case 1:
+			src = randMaxRowSaturated(rng, width)
+		case 2:
+			src = make([]int8, width)
+			for i := range src {
+				src[i] = int8(rng.IntN(256) - 128)
+			}
+		case 3:
+			// Two values only, so even widths hit the median tie.
+			src = make([]int8, width)
+			for i := range src {
+				src[i] = int8(3 + 2*rng.IntN(2))
+			}
+		}
+		row := back[off : off+width]
+		copy(row, src)
+		checkPricing(t, row)
+	}
+	for _, v := range []int8{Empty, 0, maxTrackedY, MaxCell8} {
+		for _, width := range []int{1, 2, 63, 64, 257} {
+			row := make([]int8, width)
+			for i := range row {
+				row[i] = v
+			}
+			checkPricing(t, row)
+		}
+	}
+	checkPricing(t, nil)
+}
+
 // TestDeviationEncodingWidthIndependence pins the cell-width contract's wire
 // half: the deviation encoding of the same values must be byte-identical —
 // same baseline, same bit count, same bytes — from narrow and wide rows.
@@ -257,19 +326,18 @@ func TestDeviationEncodingWidthIndependence(t *testing.T) {
 // TestKernelEncodedBitsPositive: every kernel must charge at least one bit
 // for any row, including the empty one (the wave charges max(bits, 1)).
 func TestKernelEncodedBitsPositive(t *testing.T) {
-	var counts []int
 	maxRow := make([]int8, 33)
 	for i := range maxRow {
 		maxRow[i] = MaxKernel{}.EmptyCell()
 	}
-	if b := (MaxKernel{}).EncodedBits(maxRow, &counts); b <= 0 {
+	if b := (MaxKernel{}).EncodedBits(maxRow); b <= 0 {
 		t.Errorf("max: EncodedBits(empty row) = %d, want > 0", b)
 	}
 	kmvRow := make([]int16, 33)
 	for i := range kmvRow {
 		kmvRow[i] = KMVKernel{}.EmptyCell()
 	}
-	if b := (KMVKernel{}).EncodedBits(kmvRow, &counts); b <= 0 {
+	if b := (KMVKernel{}).EncodedBits(kmvRow); b <= 0 {
 		t.Errorf("kmv: EncodedBits(empty row) = %d, want > 0", b)
 	}
 }

@@ -10,7 +10,8 @@ import (
 // including the saturation ceiling, at every alignment of a shared backing)
 // and into int16 rows (the wide reference kernel's full range), and each
 // SWAR path must match its scalar reference exactly alongside the
-// semilattice laws. For the KMV kernel the bytes are canonicalized into
+// semilattice laws, and the max kernel's one-pass pricing must match its
+// three-pass reference. For the KMV kernel the bytes are canonicalized into
 // valid rows (sorted distinct, sentinel-padded) first, since MergeKMV's
 // contract only covers rows the kernel itself can produce.
 func FuzzSketchMerge(f *testing.F) {
@@ -67,6 +68,10 @@ func FuzzSketchMerge(f *testing.F) {
 		if !rowsEqual(pair, wantPair) {
 			t.Fatalf("MergeMax8Pair != sequential (off=%d)\n a=%v\n b=%v", off, a8, b8)
 		}
+		// The one-pass pricing must match the three-pass reference on raw
+		// rows, and the encoder's bit length on canonical ones.
+		checkPricing(t, a8)
+		checkPricing(t, canonMax8(a8))
 		// Semilattice laws for both kernels, on rows canonicalized into each
 		// kernel's value domain (the identity law only holds there); derive a
 		// third row for associativity by swapping the halves.

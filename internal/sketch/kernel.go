@@ -67,13 +67,41 @@ func (MaxKernel) Merge(dst, src []int8) { MergeMax8(dst, src) }
 // per pass keeps two miss streams in flight while touching dst once.
 func (MaxKernel) MergePair(dst, a, b []int8) { MergeMax8Pair(dst, a, b) }
 
-// EncodedBits implements Kernel: the deviation encoding of Lemmas 5.5–5.6.
-// The encoding is value-based, so the narrow storage width does not change a
-// single bit of the wire size (`sketch_bits`).
-func (MaxKernel) EncodedBits(row []int8, counts *[]int) int {
-	k, c := DeviationBaseline(row, *counts)
-	*counts = c
-	return DeviationBits(row, k)
+// EncodedBits implements Kernel: the deviation encoding of Lemmas 5.5–5.6,
+// priced in one pass over the row. The pass fills a fixed histogram over all
+// 256 int8 values; the median baseline and Σ(2 + |Y_i − k|) then come from
+// its buckets in integer arithmetic, so the result equals
+// DeviationBits(row, DeviationBaseline(row)) — which reads the row three
+// times — exactly. The encoding is value-based, so the narrow storage width
+// does not change a single bit of the wire size (`sketch_bits`).
+func (MaxKernel) EncodedBits(row []int8) int {
+	t := len(row)
+	if t == 0 {
+		return DeviationBits(row, 0)
+	}
+	// hist[i] counts cells of value i−128.
+	var hist [256]int
+	for _, y := range row {
+		hist[int(y)+128]++
+	}
+	// The baseline is the lower median, as DeviationBaseline selects it.
+	k, run := 0, 0
+	for i, c := range hist {
+		run += c
+		if run >= (t+1)/2 {
+			k = i - 128
+			break
+		}
+	}
+	n := eliasGammaBits(uint64(t)+1) + eliasGammaBits(uint64(k)+2) + 2*t
+	for i, c := range hist {
+		dev := i - 128 - k
+		if dev < 0 {
+			dev = -dev
+		}
+		n += c * dev
+	}
+	return n
 }
 
 // swarHigh masks the sign bit of each 16-bit lane of a word; xor-ing it

@@ -51,8 +51,8 @@ func (KMVKernel) Merge(dst, src []int16) { MergeKMV(dst, src) }
 
 // EncodedBits implements Kernel: Elias-gamma of the occupied count, then the
 // first value and the successive deltas (≥ 1, values are distinct) in
-// Elias-gamma. counts is unused — the encoding needs no scratch.
-func (KMVKernel) EncodedBits(row []int16, counts *[]int) int {
+// Elias-gamma.
+func (KMVKernel) EncodedBits(row []int16) int {
 	v := kmvOccupied(row)
 	bits := eliasGammaBits(uint64(v) + 1)
 	if v > 0 {

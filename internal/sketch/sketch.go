@@ -83,8 +83,8 @@ type Kernel[C Cell] interface {
 	// idempotence).
 	Merge(dst, src []C)
 	// EncodedBits returns the wire size of row under the kernel's
-	// serialization, using *counts as reusable scratch (grown as needed).
-	EncodedBits(row []C, counts *[]int) int
+	// serialization.
+	EncodedBits(row []C) int
 }
 
 // PairMerger is an optional kernel fast path: MergePair folds two source

@@ -217,9 +217,8 @@ func emitShardBenchWorkloads(path string, seed uint64, maxN, streamN int, worklo
 				var rounds int64
 				var stats shard.ExchangeStats
 				prev := parwork.SetParallelism(par)
-				// The engine splits its per-shard pool shares from the
-				// parallelism knob at construction, so it is built inside the
-				// SetParallelism scope.
+				// A fresh engine per cell: arenas and exchange stats start
+				// empty.
 				se := shard.NewEngine(sg, sketch.MaxKernel{})
 				r := testing.Benchmark(func(b *testing.B) {
 					b.ReportAllocs()

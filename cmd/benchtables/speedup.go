@@ -274,8 +274,7 @@ func sketchCollectCurves(w benchwork.SketchWorkload, seed uint64, levels []int) 
 
 // shardExchangeCurves measures the partitioned decomposition at two shards:
 // total sharded wall plus the boundary-exchange share (ExchangeNs), at every
-// grid level. The engine is rebuilt per level because pool shares split from
-// the parallelism knob at construction.
+// grid level, on a fresh engine per level.
 func shardExchangeCurves(w benchwork.ACDWorkload, seed uint64, levels []int) ([]speedupCurve, error) {
 	h, err := w.Build()
 	if err != nil {

@@ -5,16 +5,20 @@
 // and a further fingerprint wave estimates external degrees to classify
 // cabals (Section 4.1).
 //
-// The decomposition is the pipeline's first stage and runs arena-backed and
-// parallel on the generic mergeable-sketch engine of internal/sketch: sample
-// and sketch rows live in the workspace's sketch.Engine arenas generated
-// from per-vertex parwork.RowSeed streams, the waves fold over the CSR graph
-// across the worker pool (the max kernel's merge is commutative and
-// idempotent, so every parallelism level produces byte-identical output),
-// and the buddy predicate is evaluated exactly once per edge into a packed
-// CSR-slot bitmap that the dense classification, the component BFS, and
-// downstream consumers all read for free. A Workspace owns the reusable
-// engine so repeated decompositions allocate O(1) objects regardless of n.
+// The decomposition has one path: the slice substrate of graph.ShardedGraph
+// and shard.Engine. A partitioned run (ComputeShardedWith) folds each
+// slice's arenas over its local CSR, and an unsharded run (ComputeWith) is
+// its k = 1 case on a one-slice view that shares the graph's CSR. Sample and
+// sketch rows are generated from per-vertex parwork.RowSeed streams keyed by
+// global ids, and the waves fold across the worker pool (the max kernel's
+// merge is commutative and idempotent), so every shard count and every
+// parallelism level produces byte-identical output. The buddy predicate is
+// memoized per slice into a packed bitmap keyed by local directed slots:
+// each owned↔owned edge is judged once, forward, and mirrored onto its
+// reverse slot inside the slice, and each owned→halo edge is judged by its
+// owning shard. The dense classification and the component labeling read
+// the bitmap for free. A Workspace owns the reusable buffers so repeated
+// decompositions allocate O(1) objects regardless of n.
 //
 // An exact (centralized) reference decomposition is provided for testing and
 // for experiments that need ground truth.
@@ -24,12 +28,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/parwork"
+	"clustercolor/internal/shard"
 	"clustercolor/internal/sketch"
 )
 
@@ -62,15 +66,16 @@ func Sparsity(g *graph.Graph, v int) float64 {
 }
 
 // Workspace owns the reusable scratch of the decomposition waves: the
-// sketch-engine handle whose arenas back Compute's two waves and
-// BuildProfile's external-degree wave (each wave refills them from an
-// independent seed, so the lemmas' independence requirements hold), the
-// per-vertex estimate buffers, the packed buddy-edge bitmap, and the
-// component-BFS queue. One Workspace serves one decomposition at a time;
-// reusing it across calls (core does, per Color run) keeps allocation counts
-// independent of n.
+// one-slice view of the last graph decomposed through ComputeWith or
+// BuildProfileWith and its shard engine, whose arenas back Compute's two
+// waves and BuildProfile's external-degree wave (each wave refills them from
+// an independent seed, so the lemmas' independence requirements hold), the
+// per-vertex estimate buffers, the packed buddy-edge bitmap and its mirror
+// snapshot, and the component-labeling buffers. One Workspace serves one
+// decomposition at a time; reusing it across calls (core does, per Color
+// run) keeps allocation counts independent of n.
 type Workspace struct {
-	eng      sketch.Engine[int8]
+	one      *shard.Engine[int8]
 	deg      []float64
 	count    []float64
 	dense    []bool
@@ -80,19 +85,24 @@ type Workspace struct {
 	next     []int32
 }
 
-// NewWorkspace returns an empty workspace; buffers grow on first use. The
-// engine runs the max kernel — the kernel the paper's lemmas are stated for.
-func NewWorkspace() *Workspace {
-	return &Workspace{eng: sketch.Engine[int8]{Kernel: sketch.MaxKernel{}}}
-}
+// NewWorkspace returns an empty workspace; buffers grow on first use.
+func NewWorkspace() *Workspace { return &Workspace{} }
 
-// engine returns the workspace's sketch engine, defaulting the kernel for
-// zero-value workspaces constructed without NewWorkspace.
-func (ws *Workspace) engine() *sketch.Engine[int8] {
-	if ws.eng.Kernel == nil {
-		ws.eng.Kernel = sketch.MaxKernel{}
+// oneSlice returns the workspace's one-slice engine over g, building the
+// view on first use or when g changes. The view shares g's CSR, so building
+// it copies nothing. The engine runs the max kernel — the kernel the paper's
+// lemmas are stated for. Its exchange stats are never read (one slice has
+// no boundary) and are cleared so they cannot grow across reuses.
+func (ws *Workspace) oneSlice(g *graph.Graph) (*shard.Engine[int8], error) {
+	if ws.one == nil || ws.one.SG.Slices[0].CSR != g {
+		sg, err := graph.NewShardedGraph(g, 1)
+		if err != nil {
+			return nil, err
+		}
+		ws.one = shard.NewEngine(sg, sketch.MaxKernel{})
 	}
-	return &ws.eng
+	ws.one.ResetStats()
+	return ws.one, nil
 }
 
 func growFloats(buf []float64, n int) []float64 {
@@ -102,212 +112,48 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Exact computes the decomposition centrally: buddy edges are pairs with
-// |N(u) ∩ N(v)| ≥ (1−2ξ)Δ, dense candidates have ≥ (1−2ξ)Δ incident buddy
-// edges, and almost-cliques are the connected components of the buddy graph
-// restricted to dense candidates ([ACK19, Lemma 4.8] shape). ξ is derived
-// from eps.
-func Exact(g *graph.Graph, eps float64) (*Decomposition, error) {
-	if eps <= 0 || eps >= 1.0/3 {
-		return nil, fmt.Errorf("acd: eps %v out of (0, 1/3)", eps)
-	}
-	xi := eps / 2
-	delta := g.MaxDegree()
-	buddyDeg := make([]int, g.N())
-	isBuddy := func(u, v int) bool {
-		return float64(g.CommonNeighbors(u, v)) >= (1-2*xi)*float64(delta)
-	}
-	for v := 0; v < g.N(); v++ {
-		for _, u := range g.Neighbors(v) {
-			if int(u) > v && isBuddy(v, int(u)) {
-				buddyDeg[v]++
-				buddyDeg[u]++
-			}
-		}
-	}
-	dense := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		dense[v] = float64(buddyDeg[v]) >= (1-2*xi)*float64(delta)
-	}
-	return assemble(g, eps, dense, func(v, u, slot int) bool { return isBuddy(v, u) }, nil)
-}
-
-// assemble groups dense vertices into almost-cliques via connected
-// components of the buddy graph restricted to dense vertices. isBuddy
-// receives the CSR slot of the directed edge (v, u) so memoized callers
-// answer in O(1).
-//
-// Components are labeled by deterministic parallel min-label propagation
-// with pointer jumping: every pass recomputes labels from an immutable
-// snapshot across the worker pool, so the fixpoint — each dense vertex
-// labeled by its component's minimum member — is byte-identical at any
-// parallelism, and the O(m) edge scans that used to run as one serial BFS
-// (the last serial scan in the decomposition) now fan out through parwork.
-// Pointer jumping bounds the pass count by O(log n) even on long buddy
-// paths, though the diameter-2 components of Proposition 4.3 converge in a
-// couple of passes. Cliques are indexed by ascending minimum member (the
-// same order the serial BFS produced) with members ascending.
-func assemble(g *graph.Graph, eps float64, dense []bool, isBuddy func(v, u, slot int) bool, ws *Workspace) (*Decomposition, error) {
-	n := g.N()
-	return assembleFrom(n, eps, dense, ws, func(label, next []int32) (bool, error) {
-		// Propagation cost is one edge scan per dense vertex: weight chunk
-		// bounds by the offsets array so heavy rows spread across chunks.
-		chunks := parwork.RangeChunks(n)
-		cum := func(v int) int64 { return int64(g.AdjOffset(v)) + 16*int64(v) }
-		changes, err := parwork.ForEach(chunks, func(ci int) (bool, error) {
-			lo, hi := parwork.WeightedChunkBounds(n, chunks, ci, cum)
-			changed := false
-			for v := lo; v < hi; v++ {
-				if !dense[v] {
-					next[v] = -1
-					continue
-				}
-				m := label[v]
-				base := g.AdjOffset(v)
-				for j, u32 := range g.Neighbors(v) {
-					u := int(u32)
-					if dense[u] && label[u] < m && isBuddy(v, u, base+j) {
-						m = label[u]
-					}
-				}
-				next[v] = m
-				if m != label[v] {
-					changed = true
-				}
-			}
-			return changed, nil
-		})
-		if err != nil {
-			return false, err
-		}
-		for _, c := range changes {
-			if c {
-				return true, nil
-			}
-		}
-		return false, nil
-	})
-}
-
-// assembleFrom is the graph-shape-independent core of assemble: propagate
-// performs one full min-label pass — next[v] must be written for every v
-// (the component minimum over v's dense buddy neighborhood, or -1 for
-// non-dense v) from the immutable previous labels — and reports whether any
-// label moved. next is a pure function of label, so any propagate walking
-// the same edge set (global CSR or shard slices) reaches the same fixpoint
-// byte for byte.
-func assembleFrom(n int, eps float64, dense []bool, ws *Workspace, propagate func(label, next []int32) (bool, error)) (*Decomposition, error) {
-	d := &Decomposition{Eps: eps, CliqueOf: make([]int, n)}
-	var label, next []int32
-	if ws != nil {
-		ws.label = growInt32(ws.label, n)
-		ws.next = growInt32(ws.next, n)
-		label, next = ws.label, ws.next
-	} else {
-		label = make([]int32, n)
-		next = make([]int32, n)
-	}
-	if err := parwork.ForRange(n, func(lo, hi int) error {
-		for v := lo; v < hi; v++ {
-			if dense[v] {
-				label[v] = int32(v)
-			} else {
-				label[v] = -1
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	chunks := parwork.RangeChunks(n)
-	for {
-		// Propagate: next[v] = min(label[v], labels of dense buddy
-		// neighbors). Reads only the previous labels, writes only next[v].
-		changed, err := propagate(label, next)
-		if err != nil {
-			return nil, err
-		}
-		// Jump: label[v] = next[next[v]]. A label is always a dense vertex
-		// of v's own component, so the hop stays within the component and
-		// only shortcuts toward its minimum. Reads only next.
-		jumps, err := parwork.ForEach(chunks, func(ci int) (bool, error) {
-			lo, hi := parwork.ChunkBoundsIn(n, chunks, ci)
-			changed := false
-			for v := lo; v < hi; v++ {
-				l := next[v]
-				if l >= 0 {
-					if l2 := next[l]; l2 < l {
-						l = l2
-						changed = true
-					}
-				}
-				label[v] = l
-			}
-			return changed, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		done := !changed
-		for i := range jumps {
-			if jumps[i] {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-	}
-	// Gather: component sizes per root (reusing next as scratch), clique
-	// indices for roots with ≥ 2 members in ascending root order, then the
-	// member lists — ascending within each clique. Lone dense candidates are
-	// not almost-cliques and reclassify as sparse.
-	for v := 0; v < n; v++ {
-		next[v] = 0
-	}
-	for v := 0; v < n; v++ {
-		if dense[v] {
-			next[label[v]]++
-		}
-	}
-	idx := 0
-	for v := 0; v < n; v++ {
-		if dense[v] && int(label[v]) == v && next[v] >= 2 {
-			next[v] = int32(idx)
-			idx++
-		} else {
-			next[v] = -1
-		}
-	}
-	if err := parwork.ForRange(n, func(lo, hi int) error {
-		for v := lo; v < hi; v++ {
-			if dense[v] {
-				d.CliqueOf[v] = int(next[label[v]])
-			} else {
-				d.CliqueOf[v] = -1
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if idx > 0 {
-		d.Cliques = make([][]int, idx)
-		for v := 0; v < n; v++ {
-			if ci := d.CliqueOf[v]; ci >= 0 {
-				d.Cliques[ci] = append(d.Cliques[ci], v)
-			}
-		}
-	}
-	return d, nil
-}
-
 func growInt32(buf []int32, n int) []int32 {
 	if cap(buf) < n {
 		return make([]int32, n)
 	}
 	return buf[:n]
+}
+
+// Exact computes the decomposition centrally: buddy edges are pairs with
+// |N(u) ∩ N(v)| ≥ (1−2ξ)Δ, dense candidates have ≥ (1−2ξ)Δ incident buddy
+// edges, and almost-cliques are the connected components of the buddy graph
+// restricted to dense candidates ([ACK19, Lemma 4.8] shape). ξ is derived
+// from eps. The buddy bits are filled on the one-slice view of g, where a
+// local slot is a global slot, and assembled like the distributed run.
+func Exact(g *graph.Graph, eps float64) (*Decomposition, error) {
+	if eps <= 0 || eps >= 1.0/3 {
+		return nil, fmt.Errorf("acd: eps %v out of (0, 1/3)", eps)
+	}
+	xi := eps / 2
+	delta := float64(g.MaxDegree())
+	ws := NewWorkspace()
+	se, err := ws.oneSlice(g)
+	if err != nil {
+		return nil, err
+	}
+	isBuddy, err := fillBuddyBits(se, ws, 1, func(int) bool { return true },
+		func(_ *sketch.Scratch[int8], _, v, u int) bool {
+			return float64(g.CommonNeighbors(v, u)) >= (1-2*xi)*delta
+		})
+	if err != nil {
+		return nil, err
+	}
+	dense := make([]bool, g.N())
+	for v := range dense {
+		buddyDeg, base := 0, g.AdjOffset(v)
+		for j := range g.Neighbors(v) {
+			if isBuddy(0, base+j) {
+				buddyDeg++
+			}
+		}
+		dense[v] = float64(buddyDeg) >= (1-2*xi)*delta
+	}
+	return assemble(se, eps, dense, isBuddy, ws)
 }
 
 // Compute runs the distributed decomposition of Proposition 4.3 on a cluster
@@ -316,22 +162,54 @@ func Compute(cg *cluster.CG, eps float64, rng *rand.Rand) (*Decomposition, error
 	return ComputeWith(cg, eps, rng, NewWorkspace())
 }
 
-// ComputeWith runs the distributed decomposition of Proposition 4.3:
-// fingerprint waves approximate degrees and joint neighborhood sizes
-// (Lemma 5.8), each edge solves the buddy predicate locally (memoized into
-// the workspace's packed edge bitmap, exactly one evaluation per edge), a
-// further wave counts incident buddy edges, and an O(1)-round BFS labels the
-// components. All randomness derives from one draw of rng through
-// parwork.RowSeed streams, and every wave runs across the worker pool, so
-// the decomposition is byte-identical at any parwork parallelism level.
-// ComputeWith is reentrant as long as workspaces are not shared.
+// ComputeWith runs the distributed decomposition of Proposition 4.3 on the
+// one-slice view of cg.H held by the workspace: the unsharded run is the
+// k = 1 case of ComputeShardedWith, byte for byte.
 func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*Decomposition, error) {
+	se, err := ws.oneSlice(cg.H)
+	if err != nil {
+		return nil, err
+	}
+	return ComputeShardedWith(cg, se, eps, rng, ws)
+}
+
+// ComputeShardedWith runs the distributed decomposition of Proposition 4.3
+// on the slices of a partitioned graph: fingerprint waves approximate
+// degrees and joint neighborhood sizes (Lemma 5.8), each edge solves the
+// buddy predicate locally, a further wave counts incident buddy edges, and
+// an O(1)-round labeling finds the components.
+//
+// Each slice folds its own arenas over its local CSR on its worker-pool
+// share, with boundary-exchange phases shipping sample and sketch rows by
+// owner shard between the waves. The buddy predicate is memoized per slice
+// into a bitmap keyed by local directed slots: every owned↔owned edge is
+// judged once, forward (local u > v), and mirrored onto its reverse slot
+// inside the slice; every owned→halo edge is judged by its owning shard, so
+// a cut edge is judged once on each side — the merge is commutative, so
+// both sides reach the same answer. A one-slice view (ComputeWith) has no
+// halo, and this is exactly one judgment per edge.
+//
+// All randomness derives from one draw of rng through parwork.RowSeed
+// streams keyed by global ids, and every estimate derives from rows the
+// kernel's semilattice merge makes identical at any partition, so the
+// decomposition — and the cost-model charges, issued once globally per
+// logical wave — is byte-identical at every shard count and parallelism.
+// Cross-shard traffic lands in the engine's ExchangeStats. The cluster graph
+// may be a materialized view with the engine's dimensions or a
+// cluster.NewHeadless view for runs where the global graph never exists.
+// ComputeShardedWith is reentrant as long as workspaces and engines are not
+// shared.
+func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng *rand.Rand, ws *Workspace) (*Decomposition, error) {
 	if eps <= 0 || eps >= 1.0/3 {
 		return nil, fmt.Errorf("acd: eps %v out of (0, 1/3)", eps)
 	}
-	g := cg.H
-	n := g.N()
-	delta := float64(g.MaxDegree())
+	sg := se.SG
+	if h := cg.H; h != nil && (h.N() != sg.N() || h.M() != sg.M() || h.MaxDegree() != sg.MaxDegree()) {
+		return nil, fmt.Errorf("acd: shard engine partitions a graph of n=%d m=%d Δ=%d, cluster graph has n=%d m=%d Δ=%d",
+			sg.N(), sg.M(), sg.MaxDegree(), h.N(), h.M(), h.MaxDegree())
+	}
+	n := sg.N()
+	delta := float64(sg.MaxDegree())
 	seed := rng.Uint64()
 	if delta == 0 {
 		d := &Decomposition{Eps: eps, CliqueOf: make([]int, n)}
@@ -348,57 +226,36 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 		return nil, err
 	}
 	// Wave 1: per-vertex neighborhood sketches (degrees + reusable for the
-	// joint-neighborhood estimates on edges).
-	eng := ws.engine()
-	if err := eng.FillSamples(n, t, parwork.RowSeed(seed, 0)); err != nil {
+	// joint-neighborhood estimates on edges), per slice with a sample
+	// exchange.
+	if err := se.FillSamples(t, parwork.RowSeed(seed, 0), "acd/nbhd"); err != nil {
 		return nil, err
 	}
-	maxBits, err := eng.Collect(cg, "acd/nbhd", sketch.CollectOptions{})
+	maxBits, err := se.Collect(cg, "acd/nbhd", shard.CollectOptions{})
 	if err != nil {
 		return nil, err
 	}
 	ws.deg = growFloats(ws.deg, n)
-	if err := parwork.ForRange(n, func(lo, hi int) error {
-		var est sketch.MaxEstimator[int8]
-		for v := lo; v < hi; v++ {
-			ws.deg[v] = est.Estimate(eng.Row(v))
-		}
-		return nil
-	}); err != nil {
+	if err := estimateRows(se, ws.deg, nil); err != nil {
 		return nil, err
 	}
 	// Edge exchange: endpoints merge sketches and estimate |N(u) ∪ N(v)|.
-	// One H-round with a sketch payload (Lemma 5.8).
+	// One H-round with a sketch payload (Lemma 5.8); halo rows arrived in
+	// the collect's exchange.
 	cg.ChargeHRounds("acd/buddy-exchange", 1, maxBits)
 	lowCut := (1 - 1.5*xi) * delta
 	joinCut := sketch.NewCut((1 + 1.5*xi) * delta)
-	// The buddy predicate runs exactly once per edge, memoized into the
-	// packed per-slot bitmap: pass A evaluates forward slots (u > v) with
-	// per-worker estimator scratch, pass B mirrors them onto the reverse
-	// slots. The shared-scratch closure this replaces made Compute
-	// non-reentrant and pinned the whole stage to one goroutine.
-	buddy, err := fillEdgeBits(g, ws, t,
+	isBuddy, err := fillBuddyBits(se, ws, t,
 		func(v int) bool { return ws.deg[v] >= lowCut },
-		func(sc *sketch.Scratch[int8], v, u int) bool {
+		func(sc *sketch.Scratch[int8], s, lv, lu int) bool {
 			// F ≤ (1+1.5ξ)Δ means the joint neighborhood is small, i.e. the
 			// neighborhoods overlap heavily: a buddy edge. MergedAtMost
 			// answers the threshold on the merged row's harmonic statistic,
 			// inverting it only near the cut, with no merged row
 			// materialized.
-			return sc.Est.MergedAtMost(eng.Row(v), eng.Row(u), joinCut)
+			return sc.Est.MergedAtMost(se.OutRowLocal(s, lv), se.OutRowLocal(s, lu), joinCut)
 		})
 	if err != nil {
-		return nil, err
-	}
-	// Mirroring reads forward bits while writing reverse bits; a reader's
-	// forward word can coincide with another worker's reverse-write word, so
-	// the pass reads from an immutable snapshot of the forward bits.
-	if cap(ws.buddySrc) < len(buddy) {
-		ws.buddySrc = make([]uint64, len(buddy))
-	}
-	ws.buddySrc = ws.buddySrc[:len(buddy)]
-	copy(ws.buddySrc, buddy)
-	if err := mirrorEdgeBits(g, ws.buddySrc, buddy); err != nil {
 		return nil, err
 	}
 	// Wave 2 (Proposition 4.3): approximate the number of incident buddy
@@ -407,22 +264,16 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 	// one block fail together (their sketches merge nearly the same sample
 	// set), so this wave keeps the same doubled accuracy (ξ/2, hence the
 	// same t) as the predicate wave rather than Lemma 5.7's bare ξ.
-	if err := eng.FillSamples(n, t, parwork.RowSeed(seed, 1)); err != nil {
+	if err := se.FillSamples(t, parwork.RowSeed(seed, 1), "acd/buddy-count"); err != nil {
 		return nil, err
 	}
-	if _, err := eng.Collect(cg, "acd/buddy-count", sketch.CollectOptions{
-		Pred: func(v, u, slot int) bool { return buddy[slot>>6]&(1<<(slot&63)) != 0 },
+	if _, err := se.Collect(cg, "acd/buddy-count", shard.CollectOptions{
+		LocalPred: func(s, lv, lu, lslot int) bool { return isBuddy(s, lslot) },
 	}); err != nil {
 		return nil, err
 	}
 	ws.count = growFloats(ws.count, n)
-	if err := parwork.ForRange(n, func(lo, hi int) error {
-		var est sketch.MaxEstimator[int8]
-		for v := lo; v < hi; v++ {
-			ws.count[v] = est.Estimate(eng.Row(v))
-		}
-		return nil
-	}); err != nil {
+	if err := estimateRows(se, ws.count, nil); err != nil {
 		return nil, err
 	}
 	if cap(ws.dense) < n {
@@ -435,177 +286,7 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 	}
 	// O(1)-round BFS for leader election in each (diameter-2) component.
 	cg.ChargeHRounds("acd/leaders", 3, cg.IDBits())
-	return assemble(g, eps, ws.dense, func(v, u, slot int) bool {
-		return buddy[slot>>6]&(1<<(slot&63)) != 0
-	}, ws)
-}
-
-// edgeBlockBytes is the sketch-row footprint one predicate block targets:
-// small enough that a block of target rows stays cache-resident while every
-// admitted edge into it is judged, large enough that per-block bookkeeping
-// stays negligible next to the estimates.
-const edgeBlockBytes = 512 << 10
-
-// edgeBlockRows converts the block budget into a target-row count for rows of
-// rowBytes bytes.
-func edgeBlockRows(rowBytes int) int {
-	if rowBytes < 1 {
-		rowBytes = 1
-	}
-	rows := edgeBlockBytes / rowBytes
-	if rows < 64 {
-		rows = 64
-	}
-	return rows
-}
-
-// fillEdgeBits sizes the workspace's packed per-slot bitmap for g, zeroes
-// it, and evaluates judge over every directed forward edge (v, u) with u > v
-// and both endpoints admitted, setting the edge's CSR slot bit on success.
-// Each chunk owns the word-aligned span of its slot range; bits falling in a
-// chunk's leading partial word are spilled and applied sequentially, so no
-// two workers ever touch the same word — the packed bitmap stays race-free
-// without atomics.
-//
-// Evaluation is cache-blocked: within each degree-weighted chunk, the
-// admitted sources sweep their forward neighbor runs in ascending blocks of
-// edgeBlockRows target ids (rowBytes is the sketch-row width in bytes), so a
-// block of target rows is reused by every source in the chunk while it is
-// cache-resident instead of each source streaming the whole id range. The
-// blocked order sets the same slots — OR-ing into the bitmap is order-free —
-// so the bitmap is byte-identical to a per-source scan.
-func fillEdgeBits(g *graph.Graph, ws *Workspace, rowBytes int, admit func(v int) bool, judge func(sc *sketch.Scratch[int8], v, u int) bool) ([]uint64, error) {
-	n := g.N()
-	words := (2*g.M() + 63) / 64
-	if cap(ws.buddy) < words {
-		ws.buddy = make([]uint64, words)
-	}
-	ws.buddy = ws.buddy[:words]
-	for i := range ws.buddy {
-		ws.buddy[i] = 0
-	}
-	bits := ws.buddy
-	blockRows := edgeBlockRows(rowBytes)
-	chunks := parwork.RangeChunks(n)
-	cum := func(v int) int64 { return int64(g.AdjOffset(v)) + 16*int64(v) }
-	spills, err := parwork.ForEach(chunks, func(ci int) ([]int, error) {
-		lo, hi := parwork.WeightedChunkBounds(n, chunks, ci, cum)
-		ownStart := (g.AdjOffset(lo) + 63) &^ 63
-		var spill []int
-		var sc sketch.Scratch[int8]
-		set := func(slot int) {
-			if slot < ownStart {
-				spill = append(spill, slot)
-				return
-			}
-			bits[slot>>6] |= 1 << (slot & 63)
-		}
-		// Gather the chunk's admitted sources that have forward neighbors;
-		// cur[i] indexes the next unjudged forward neighbor of srcs[i].
-		var srcs, cur []int32
-		for v := lo; v < hi; v++ {
-			if !admit(v) {
-				continue
-			}
-			nb := g.Neighbors(v)
-			j := sort.Search(len(nb), func(i int) bool { return int(nb[i]) > v })
-			if j < len(nb) {
-				srcs = append(srcs, int32(v))
-				cur = append(cur, int32(j))
-			}
-		}
-		// Blocked sweep: each round starts at the smallest pending target and
-		// judges every admitted edge into [blockLo, blockLo+blockRows) —
-		// neighbor lists are sorted ascending, so each source contributes one
-		// contiguous run per round — then compacts exhausted sources.
-		for len(srcs) > 0 {
-			blockLo := n
-			for i, v32 := range srcs {
-				if u := int(g.Neighbors(int(v32))[cur[i]]); u < blockLo {
-					blockLo = u
-				}
-			}
-			blockHi := blockLo + blockRows
-			alive := 0
-			for i, v32 := range srcs {
-				v := int(v32)
-				nb := g.Neighbors(v)
-				base := g.AdjOffset(v)
-				j := int(cur[i])
-				for j < len(nb) && int(nb[j]) < blockHi {
-					u := int(nb[j])
-					if admit(u) && judge(&sc, v, u) {
-						set(base + j)
-					}
-					j++
-				}
-				if j < len(nb) {
-					srcs[alive] = v32
-					cur[alive] = int32(j)
-					alive++
-				}
-			}
-			srcs = srcs[:alive]
-			cur = cur[:alive]
-		}
-		return spill, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, sp := range spills {
-		for _, slot := range sp {
-			bits[slot>>6] |= 1 << (slot & 63)
-		}
-	}
-	return bits, nil
-}
-
-// mirrorEdgeBits copies every forward bit (u > v) onto its reverse slot:
-// for each directed slot (v, u) with u < v it looks up the bit of (u, v) by
-// binary search in u's row. Forward bits are read from src — an immutable
-// snapshot taken before the pass, since a forward word being read can be
-// the same word another worker is writing reverse bits into — and workers
-// write only their own rows' slots of bits, with the same word-ownership
-// spill discipline as fillEdgeBits.
-func mirrorEdgeBits(g *graph.Graph, src, bits []uint64) error {
-	n := g.N()
-	chunks := parwork.RangeChunks(n)
-	cum := func(v int) int64 { return int64(g.AdjOffset(v)) + 16*int64(v) }
-	spills, err := parwork.ForEach(chunks, func(ci int) ([]int, error) {
-		lo, hi := parwork.WeightedChunkBounds(n, chunks, ci, cum)
-		ownStart := (g.AdjOffset(lo) + 63) &^ 63
-		var spill []int
-		for v := lo; v < hi; v++ {
-			base := g.AdjOffset(v)
-			for j, u32 := range g.Neighbors(v) {
-				u := int(u32)
-				if u >= v {
-					break // neighbor lists are sorted ascending
-				}
-				fwd := g.AdjOffset(u) + g.NeighborIndex(u, v)
-				if src[fwd>>6]&(1<<(fwd&63)) == 0 {
-					continue
-				}
-				slot := base + j
-				if slot < ownStart {
-					spill = append(spill, slot)
-					continue
-				}
-				bits[slot>>6] |= 1 << (slot & 63)
-			}
-		}
-		return spill, nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, sp := range spills {
-		for _, slot := range sp {
-			bits[slot>>6] |= 1 << (slot & 63)
-		}
-	}
-	return nil
+	return assemble(se, eps, ws.dense, isBuddy, ws)
 }
 
 // Validate checks Definition 4.2 structurally: every almost-clique K has

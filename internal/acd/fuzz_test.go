@@ -1,10 +1,13 @@
 package acd
 
 import (
+	"slices"
 	"testing"
 
 	"clustercolor/internal/graph"
 	"clustercolor/internal/parwork"
+	"clustercolor/internal/shard"
+	"clustercolor/internal/sketch"
 )
 
 // checkConsistency asserts the structural invariants of a decomposition:
@@ -47,7 +50,10 @@ func checkConsistency(t *testing.T, g *graph.Graph, d *Decomposition, label stri
 // whatever (n, eps, seed, edge list) the fuzzer invents, Exact and Compute
 // must return structurally consistent decompositions without panicking,
 // Exact must satisfy Definition 4.2's size bound under a generous check
-// tolerance, Compute must be byte-identical at parallelism 1 and 4, and the
+// tolerance, Compute must be byte-identical at parallelism 1 and 4 and to
+// ComputeShardedWith at 2 and 3 shards on both the partitioned and the
+// streamed view — shard borders fall mid-clique on these graphs, so the
+// slice-local mirror and the cross-shard judging both run — and the
 // two must agree on the dense/sparse split within sketch tolerance. The
 // agreement bound is deliberately loose — on graphs this small every margin
 // sits near a threshold, and near-threshold vertices may legitimately land
@@ -61,6 +67,15 @@ func FuzzACD(f *testing.F) {
 	f.Add([]byte{6, 2, 9, 0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4})
 	// Two dense blocks joined by one bridge.
 	f.Add([]byte{10, 3, 5, 0, 1, 0, 2, 1, 2, 0, 3, 1, 3, 2, 3, 4, 5, 4, 6, 5, 6, 4, 7, 5, 7, 6, 7, 3, 4})
+	// A K₁₁ with a pendant vertex on n=12: Δ is large enough for the
+	// sketches to find the clique, and every shard border cuts it.
+	k11 := []byte{10, 3, 7, 11, 0}
+	for u := byte(0); u < 11; u++ {
+		for v := u + 1; v < 11; v++ {
+			k11 = append(k11, u, v)
+		}
+	}
+	f.Add(k11)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -106,6 +121,31 @@ func FuzzACD(f *testing.F) {
 		for v := range d1.CliqueOf {
 			if d1.CliqueOf[v] != d4.CliqueOf[v] {
 				t.Fatalf("vertex %d: clique %d at par=1 but %d at par=4", v, d1.CliqueOf[v], d4.CliqueOf[v])
+			}
+		}
+		for _, k := range []int{2, 3} {
+			part, err := graph.NewShardedGraph(h, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			str, err := graph.NewShardedGraphFromEdges(h.N(), k, graph.StreamOf(h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for view, sg := range map[string]*graph.ShardedGraph{"partitioned": part, "streamed": str} {
+				se := shard.NewEngine(sg, sketch.MaxKernel{})
+				ds, err := ComputeShardedWith(cg, se, eps, parwork.StreamRNG(seed), NewWorkspace())
+				if err != nil {
+					t.Fatalf("ComputeShardedWith(k=%d, %s): %v", k, view, err)
+				}
+				if !slices.Equal(ds.CliqueOf, d1.CliqueOf) || len(ds.Cliques) != len(d1.Cliques) {
+					t.Fatalf("k=%d %s: CliqueOf %v, unsharded %v", k, view, ds.CliqueOf, d1.CliqueOf)
+				}
+				for i := range d1.Cliques {
+					if !slices.Equal(ds.Cliques[i], d1.Cliques[i]) {
+						t.Fatalf("k=%d %s: clique %d = %v, unsharded %v", k, view, i, ds.Cliques[i], d1.Cliques[i])
+					}
+				}
 			}
 		}
 		// Validate must never panic on Compute's output; the size bound can

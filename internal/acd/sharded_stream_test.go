@@ -82,7 +82,7 @@ func TestComputeStreamedByteIdentity(t *testing.T) {
 	}
 }
 
-// TestComputeStreamedHeadless checks the fully global-graph-less shape: a
+// TestComputeStreamedHeadless checks the shape with no global graph at all: a
 // headless cluster view (machine count and dilation only) over streamed
 // slices must charge the identical budget and produce the identical
 // decomposition as the same run under the materialized cluster graph — and
@@ -131,9 +131,10 @@ func TestComputeStreamedHeadless(t *testing.T) {
 	}
 }
 
-// TestComputeStreamedRejectsMismatch pins the validation: a streamed engine
-// under a cluster graph with a different vertex count must error rather than
-// silently mix dimensions.
+// TestComputeStreamedRejectsMismatch pins the validation: an engine whose
+// view disagrees with the cluster graph must error rather than silently mix
+// graphs — a streamed view with a different vertex count, and a partitioned
+// view of a different edge set on the same vertices.
 func TestComputeStreamedRejectsMismatch(t *testing.T) {
 	h, err := graph.RingOfCliques(4, 6)
 	if err != nil {
@@ -149,5 +150,12 @@ func TestComputeStreamedRejectsMismatch(t *testing.T) {
 	se := shard.NewEngine(sg, sketch.MaxKernel{})
 	if _, err := ComputeShardedWith(cg, se, 0.2, parwork.StreamRNG(41), NewWorkspace()); err == nil {
 		t.Fatal("vertex-count mismatch accepted")
+	}
+	other, err := graph.NewShardedGraph(graph.Path(h.N()), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ComputeShardedWith(cg, shard.NewEngine(other, sketch.MaxKernel{}), 0.2, parwork.StreamRNG(41), NewWorkspace()); err == nil {
+		t.Fatal("edge-set mismatch accepted")
 	}
 }

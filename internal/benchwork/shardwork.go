@@ -52,7 +52,7 @@ func NewStreamedACDInstance(n int) (*cluster.CG, error) {
 }
 
 // RunACDStreamedOnce is the decomposition half of RunACDShardedOnce for
-// global-graph-less runs: headless cluster views carry no materialized graph
+// runs with no global graph: headless cluster views carry no materialized graph
 // for the profile stage to walk, so only ComputeShardedWith runs. It works
 // under materialized views too, which is how the streaming benchmarks compare
 // the two construction paths on equal footing.

@@ -49,8 +49,8 @@ type Params struct {
 	// Shards routes the decomposition stage through the partitioned
 	// substrate (internal/shard): the graph splits into this many contiguous
 	// vertex slices, each running its own sketch arenas and worker-pool
-	// share, stitched by boundary-exchange phases. 0 or 1 keeps the
-	// single-address-space path. The coloring, decomposition, and charged
+	// share, stitched by boundary-exchange phases. 0 or 1 runs it on one
+	// slice sharing H's CSR, with no boundary to exchange. The coloring, decomposition, and charged
 	// rounds are byte-identical either way; only the execution layout (and
 	// the cross-shard traffic reported in Stats) changes.
 	Shards int

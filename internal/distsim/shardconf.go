@@ -49,9 +49,10 @@ type ShardReport struct {
 //     traffic of a partitioned run sums to the single-engine budgets — and
 //     stays within the charged round budget (CheckBudget);
 //  2. the vertex-level decomposition on the shard engine (per-shard arenas,
-//     boundary-exchange phases, merged boundary rows) reproduces the
-//     unsharded decomposition and profile bit for bit with equal charged
-//     rounds;
+//     boundary-exchange phases, merged boundary rows), over both the
+//     partitioned view and the view streamed from the edge list, reproduces
+//     the one-slice decomposition and profile bit for bit with equal charged
+//     rounds, and the two views ship identical boundary traffic;
 //  3. the full coloring pipeline with Params.Shards set emits the exact
 //     coloring and round count of the unsharded run.
 func ShardConformance(sc Scenario, seed uint64, engineBandwidth, shards int) (*ShardReport, error) {
@@ -135,72 +136,104 @@ func conformShardWave(cg *cluster.CG, seed uint64, engineBandwidth, shards int, 
 	return nil
 }
 
-// conformShardDecomp runs the decomposition + profile on both substrates
-// with identical seeds and asserts bit-identical outputs and equal charges.
+// decompRun is one decomposition + profile run with its charges and the
+// shard engine's boundary-exchange traffic.
+type decompRun struct {
+	d      *acd.Decomposition
+	p      *acd.Profile
+	rounds int64
+	stats  shard.ExchangeStats
+}
+
+// conformShardDecomp runs the decomposition + profile with identical seeds
+// on the one-slice view (ComputeWith), on the partitioned view of the
+// cluster graph, and on the view streamed from its edge list, and asserts
+// that both views reproduce the one-slice outputs bit for bit with equal
+// charged rounds and ship identical boundary-exchange traffic.
 func conformShardDecomp(cg *cluster.CG, seed uint64, shards int, rep *ShardReport) error {
 	eps, ell := 0.25, 8.0
 	delta := float64(cg.H.MaxDegree())
-	runOne := func(k int) (*acd.Decomposition, *acd.Profile, int64, *shard.Engine[int8], error) {
+	runOne := func(sg *graph.ShardedGraph) (decompRun, error) {
 		sub, err := network.NewCostModel(cg.Cost().Bandwidth())
 		if err != nil {
-			return nil, nil, 0, nil, err
+			return decompRun{}, err
 		}
 		run := cg.WithCost(sub)
 		rng := parwork.StreamRNG(seed ^ 0xdec0)
 		ws := acd.NewWorkspace()
-		if k <= 0 {
-			d, err := acd.ComputeWith(run, eps, rng, ws)
-			if err != nil {
-				return nil, nil, 0, nil, err
+		var out decompRun
+		if sg == nil {
+			if out.d, err = acd.ComputeWith(run, eps, rng, ws); err != nil {
+				return out, err
 			}
-			p, err := acd.BuildProfileWith(run, d, delta, ell, rng, ws)
-			return d, p, sub.Rounds(), nil, err
+			out.p, err = acd.BuildProfileWith(run, out.d, delta, ell, rng, ws)
+		} else {
+			se := shard.NewEngine(sg, sketch.MaxKernel{})
+			if out.d, err = acd.ComputeShardedWith(run, se, eps, rng, ws); err != nil {
+				return out, err
+			}
+			out.p, err = acd.BuildProfileShardedWith(run, se, out.d, delta, ell, rng, ws)
+			out.stats = se.Stats
 		}
-		sg, err := graph.NewShardedGraph(run.H, k)
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		se := shard.NewEngine(sg, sketch.MaxKernel{})
-		d, err := acd.ComputeShardedWith(run, se, eps, rng, ws)
-		if err != nil {
-			return nil, nil, 0, nil, err
-		}
-		p, err := acd.BuildProfileShardedWith(run, se, d, delta, ell, rng, ws)
-		return d, p, sub.Rounds(), se, err
+		out.rounds = sub.Rounds()
+		return out, err
 	}
-	wantD, wantP, wantRounds, _, err := runOne(0)
+	want, err := runOne(nil)
 	if err != nil {
 		return fmt.Errorf("decomp: %w", err)
 	}
-	gotD, gotP, gotRounds, se, err := runOne(shards)
+	part, err := graph.NewShardedGraph(cg.H, shards)
 	if err != nil {
-		return fmt.Errorf("sharded decomp: %w", err)
+		return err
 	}
-	for v := range wantD.CliqueOf {
-		if gotD.CliqueOf[v] != wantD.CliqueOf[v] {
-			return fmt.Errorf("sharded decomp: CliqueOf[%d] = %d, want %d", v, gotD.CliqueOf[v], wantD.CliqueOf[v])
+	str, err := graph.NewShardedGraphFromEdges(cg.H.N(), shards, graph.StreamOf(cg.H))
+	if err != nil {
+		return err
+	}
+	var got [2]decompRun
+	for i, view := range []struct {
+		name string
+		sg   *graph.ShardedGraph
+	}{{"sharded", part}, {"streamed", str}} {
+		if got[i], err = runOne(view.sg); err != nil {
+			return fmt.Errorf("%s decomp: %w", view.name, err)
+		}
+		if err := sameDecomp(want, got[i]); err != nil {
+			return fmt.Errorf("%s decomp: %w", view.name, err)
 		}
 	}
-	if len(gotD.Cliques) != len(wantD.Cliques) {
-		return fmt.Errorf("sharded decomp: %d cliques, want %d", len(gotD.Cliques), len(wantD.Cliques))
+	if a, b := got[0].stats, got[1].stats; a.Rows != b.Rows || a.Bits != b.Bits || a.MaxPhaseBits != b.MaxPhaseBits {
+		return fmt.Errorf("streamed decomp: exchange stats %+v, want %+v", b, a)
 	}
-	for i := range wantP.AvgExt {
-		if math.Float64bits(gotP.AvgExt[i]) != math.Float64bits(wantP.AvgExt[i]) || gotP.IsCabal[i] != wantP.IsCabal[i] {
-			return fmt.Errorf("sharded decomp: profile of clique %d diverges", i)
+	rep.DecompRounds = got[0].rounds
+	rep.DecompExchangedRows = got[0].stats.Rows
+	rep.DecompExchangedBits = got[0].stats.Bits
+	return nil
+}
+
+// sameDecomp asserts got reproduces want bit for bit: clique assignment,
+// profile estimates and cabal flags, and the charged round count.
+func sameDecomp(want, got decompRun) error {
+	for v := range want.d.CliqueOf {
+		if got.d.CliqueOf[v] != want.d.CliqueOf[v] {
+			return fmt.Errorf("CliqueOf[%d] = %d, want %d", v, got.d.CliqueOf[v], want.d.CliqueOf[v])
 		}
 	}
-	for v := range wantP.ExtDeg {
-		if math.Float64bits(gotP.ExtDeg[v]) != math.Float64bits(wantP.ExtDeg[v]) {
-			return fmt.Errorf("sharded decomp: ExtDeg[%d] diverges", v)
+	if len(got.d.Cliques) != len(want.d.Cliques) {
+		return fmt.Errorf("%d cliques, want %d", len(got.d.Cliques), len(want.d.Cliques))
+	}
+	for i := range want.p.AvgExt {
+		if math.Float64bits(got.p.AvgExt[i]) != math.Float64bits(want.p.AvgExt[i]) || got.p.IsCabal[i] != want.p.IsCabal[i] {
+			return fmt.Errorf("profile of clique %d diverges", i)
 		}
 	}
-	if gotRounds != wantRounds {
-		return fmt.Errorf("sharded decomp: charged %d rounds, want %d — sharding must not change the budget", gotRounds, wantRounds)
+	for v := range want.p.ExtDeg {
+		if math.Float64bits(got.p.ExtDeg[v]) != math.Float64bits(want.p.ExtDeg[v]) {
+			return fmt.Errorf("ExtDeg[%d] diverges", v)
+		}
 	}
-	rep.DecompRounds = gotRounds
-	if se != nil {
-		rep.DecompExchangedRows = se.Stats.Rows
-		rep.DecompExchangedBits = se.Stats.Bits
+	if got.rounds != want.rounds {
+		return fmt.Errorf("charged %d rounds, want %d — the partition must not change the budget", got.rounds, want.rounds)
 	}
 	return nil
 }

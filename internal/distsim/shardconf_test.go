@@ -10,9 +10,9 @@ import (
 // TestShardConformanceMatrix is the partitioned substrate's acceptance
 // gate: for every scenario of the matrix and shard counts 1, 2, and 4, the
 // machine-level wave on the multi-engine, the vertex-level decomposition on
-// the shard engine, and the full pipeline with Params.Shards must all
-// byte-match their single-address-space counterparts with identical charged
-// rounds and link budgets.
+// the shard engine over the partitioned and the streamed view, and the full
+// pipeline with Params.Shards must all byte-match their single-address-space
+// counterparts with identical charged rounds and link budgets.
 func TestShardConformanceMatrix(t *testing.T) {
 	for _, sc := range Matrix() {
 		sc := sc

@@ -5,9 +5,8 @@ import "testing"
 // TestStreamConformanceMatrix is the streaming construction's acceptance
 // gate: for every scenario of the matrix and shard counts 1, 2, and 4,
 // building the slices from an edge stream — no global CSR — must be
-// byte-identical to partitioning the materialized graph, and the sharded
-// decomposition over the streamed slices must reproduce the materialized
-// run's bits, charged rounds, and boundary-exchange traffic exactly.
+// byte-identical to partitioning the materialized graph.
+// TestShardConformanceMatrix decomposes on both views.
 func TestStreamConformanceMatrix(t *testing.T) {
 	for _, sc := range Matrix() {
 		sc := sc
@@ -17,14 +16,8 @@ func TestStreamConformanceMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				if rep.DecompRounds < 0 {
-					t.Fatalf("shards=%d: implausible rounds %+v", shards, rep)
-				}
 				if rep.PeakBufferedEdges <= 0 {
 					t.Fatalf("shards=%d: builder buffered no edges on %s", shards, sc.Name)
-				}
-				if shards == 1 && rep.DecompExchangedRows != 0 {
-					t.Fatalf("shards=1 exchanged traffic: %+v", rep)
 				}
 			}
 		})

@@ -7,14 +7,14 @@ import (
 
 // checkSharded verifies every structural invariant of a sharded view
 // against its global graph: partition coverage, local CSR content, id
-// round-trips, the slot map bijection, and the boundary tables.
+// round-trips, the owned-then-halo row layout, and the boundary tables.
 func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 	t.Helper()
 	k := sg.NumShards()
 	if int(sg.Starts[0]) != 0 || int(sg.Starts[k]) != g.N() {
 		t.Fatalf("partition [%d, %d) does not cover [0, %d)", sg.Starts[0], sg.Starts[k], g.N())
 	}
-	slotSeen := make([]bool, 2*g.M())
+	ownedSlots := 0
 	for s, sl := range sg.Slices {
 		if sl.Shard != s || sl.Lo != int(sg.Starts[s]) || sl.Hi != int(sg.Starts[s+1]) {
 			t.Fatalf("slice %d bounds [%d,%d) disagree with Starts", s, sl.Lo, sl.Hi)
@@ -42,8 +42,8 @@ func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 				t.Fatalf("slice %d halo vertex %d is owned", s, u)
 			}
 		}
-		// Owned rows: exactly the global row, partitioned into owned and
-		// halo neighbors, with the slot map pointing at the global slot.
+		// Owned rows: exactly the global row, laid out as the owned sub-row
+		// then the halo sub-row, each ascending in global id.
 		boundaryEdges := 0
 		boundarySet := make(map[int32]bool)
 		for _, b := range sl.Boundary {
@@ -56,28 +56,28 @@ func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 			if len(localRow) != len(row) {
 				t.Fatalf("slice %d vertex %d degree %d, want %d", s, v, len(localRow), len(row))
 			}
+			ownedSlots += len(localRow)
 			hasHalo := false
-			globalBase := g.AdjOffset(v)
-			localBase := sl.CSR.AdjOffset(lv)
 			seen := make(map[int]bool, len(row))
-			for j, lu := range localRow {
+			prev, inHalo := -1, false
+			for _, lu := range localRow {
 				gu := sl.ToGlobal(int(lu))
 				seen[gu] = true
-				if gu < sl.Lo || gu >= sl.Hi {
+				halo := gu < sl.Lo || gu >= sl.Hi
+				if halo {
 					hasHalo = true
 					boundaryEdges++
 				}
-				gslot := int(sl.SlotToGlobal[localBase+j])
-				if gslot < globalBase || gslot >= globalBase+len(row) {
-					t.Fatalf("slice %d slot (%d,%d) maps to %d outside row [%d,%d)", s, v, gu, gslot, globalBase, globalBase+len(row))
+				if !halo && inHalo {
+					t.Fatalf("slice %d vertex %d: owned neighbor %d after the halo sub-row", s, v, gu)
 				}
-				if int(row[gslot-globalBase]) != gu {
-					t.Fatalf("slice %d slot (%d,%d) maps to global neighbor %d", s, v, gu, row[gslot-globalBase])
+				if halo && !inHalo {
+					prev, inHalo = -1, true
 				}
-				if slotSeen[gslot] {
-					t.Fatalf("global slot %d claimed twice", gslot)
+				if gu <= prev {
+					t.Fatalf("slice %d vertex %d: sub-row not ascending at neighbor %d", s, v, gu)
 				}
-				slotSeen[gslot] = true
+				prev = gu
 			}
 			for _, u := range row {
 				if !seen[int(u)] {
@@ -100,11 +100,9 @@ func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 			}
 		}
 	}
-	// Every owned directed global slot is claimed exactly once across shards.
-	for slot, ok := range slotSeen {
-		if !ok {
-			t.Fatalf("global slot %d unclaimed", slot)
-		}
+	// Owned rows hold every directed edge exactly once across shards.
+	if ownedSlots != 2*g.M() {
+		t.Fatalf("owned rows hold %d directed edges, want %d", ownedSlots, 2*g.M())
 	}
 }
 
@@ -290,5 +288,43 @@ func TestShardedIDMapsProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardedGraphOneSliceIsZeroCopy pins the one-slice view the unsharded
+// decomposition runs on: a slice owning [0, n) has local ids equal to global
+// ids and no halo, so its CSR must be the graph itself — no rebuild — and
+// construction must allocate a constant number of objects whatever m is.
+func TestShardedGraphOneSliceIsZeroCopy(t *testing.T) {
+	rng := NewRand(5)
+	small := MustGNP(200, 0.05, rng)
+	large := MustGNP(4000, 0.05, rng)
+	allocs := make([]float64, 2)
+	for i, g := range []*Graph{small, large} {
+		sg, err := NewShardedGraph(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl := sg.Slices[0]
+		if sl.CSR != g {
+			t.Fatalf("n=%d: one-slice CSR is a copy, want the graph itself", g.N())
+		}
+		if len(sl.Halo) != 0 || len(sl.HaloOwner) != 0 || len(sl.Boundary) != 0 || sl.BoundaryEdges != 0 {
+			t.Fatalf("n=%d: one slice has halo %d / boundary %d / boundary edges %d",
+				g.N(), len(sl.Halo), len(sl.Boundary), sl.BoundaryEdges)
+		}
+		if sg.N() != g.N() || sg.M() != g.M() || sg.MaxDegree() != g.MaxDegree() {
+			t.Fatalf("n=%d: dims %d/%d/%d, want %d/%d/%d", g.N(), sg.N(), sg.M(), sg.MaxDegree(), g.N(), g.M(), g.MaxDegree())
+		}
+		checkSharded(t, g, sg)
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			if _, err := NewShardedGraph(g, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("one-slice construction allocates %.0f objects at m=%d but %.0f at m=%d; want a constant",
+			allocs[0], small.M(), allocs[1], large.M())
 	}
 }

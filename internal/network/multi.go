@@ -94,8 +94,8 @@ func (m *shardMachine) Step(round int, inbox []Message) ([]Message, error) {
 // NewMultiEngine returns a partitioned engine over sg. machines are indexed
 // by global vertex id and must have length sg.N(); bandwidthBits caps the
 // bits a link may carry per round, enforced on the globally merged per-link
-// totals (0 disables the check). The global graph is not consulted, so
-// streamed (global-graph-less) sharded graphs work unchanged.
+// totals (0 disables the check). Only the slices are consulted, so sharded
+// graphs streamed from an edge list work unchanged.
 func NewMultiEngine(sg *graph.ShardedGraph, machines []Machine, bandwidthBits int) (*MultiEngine, error) {
 	if len(machines) != sg.N() {
 		return nil, fmt.Errorf("network: %d machines for %d vertices", len(machines), sg.N())

@@ -17,7 +17,6 @@
 package shard
 
 import (
-	"fmt"
 	"time"
 
 	"clustercolor/internal/cluster"
@@ -68,7 +67,9 @@ func (st *ExchangeStats) record(phase string, rows, bits, ns int64) {
 // Engine runs sketch waves over a sharded graph: one sample and one output
 // arena per slice (owned rows followed by halo rows, mirroring the local
 // CSR), one worker-pool share per slice under the process parallelism
-// budget, and the exchange bookkeeping.
+// budget, and the exchange bookkeeping. The pool shares follow
+// parwork.Parallelism() as it stands when each wave starts, not when the
+// engine was built, so one engine serves runs at any parallelism level.
 type Engine[C sketch.Cell] struct {
 	SG     *graph.ShardedGraph
 	Kernel sketch.Kernel[C]
@@ -76,7 +77,7 @@ type Engine[C sketch.Cell] struct {
 
 	states []shardState[C]
 	pools  []*parwork.ShardPool
-	trials int
+	par    int // the Parallelism() the pools were split from
 }
 
 type shardState[C sketch.Cell] struct {
@@ -94,10 +95,21 @@ func NewEngine(sg *graph.ShardedGraph, k sketch.Kernel[int8]) *Engine[int8] {
 		SG:     sg,
 		Kernel: k,
 		states: make([]shardState[int8], sg.NumShards()),
-		pools:  parwork.SplitPools(sg.NumShards()),
 	}
+	e.syncPools()
 	e.Stats.PairBits = make(map[[2]int]int64)
 	return e
+}
+
+// syncPools re-splits the pool shares when the process parallelism moved
+// since the last split. Chunking inside a pool is a pure function of its
+// budget and every reduction is partition-independent, so the split changes
+// timing only, never bytes.
+func (e *Engine[C]) syncPools() {
+	if p := parwork.Parallelism(); e.pools == nil || p != e.par {
+		e.pools = parwork.SplitPools(e.SG.NumShards())
+		e.par = p
+	}
 }
 
 // FillSamples regenerates every shard's sample rows for a wave: owned rows
@@ -107,7 +119,7 @@ func NewEngine(sg *graph.ShardedGraph, k sketch.Kernel[int8]) *Engine[int8] {
 // phase ships the rows of boundary vertices into the halos that reference
 // them.
 func (e *Engine[C]) FillSamples(t int, seed uint64, phase string) error {
-	e.trials = t
+	e.syncPools()
 	k := e.SG.NumShards()
 	if _, err := parwork.ForEach(k, func(s int) (struct{}, error) {
 		sl := e.SG.Slices[s]
@@ -126,17 +138,14 @@ func (e *Engine[C]) FillSamples(t int, seed uint64, phase string) error {
 	return e.exchange(phase+"/samples", func(s int) *sketch.Arena[C] { return &e.states[s].samples })
 }
 
-// CollectOptions mirrors sketch.CollectOptions with global vertex ids: Pred
-// receives the global endpoints and the global CSR slot, so the same
-// memoized predicates (the acd buddy bitmap) drive sharded and unsharded
-// runs identically. On global-graph-less slices there is no global slot —
-// Pred then receives slot = -1, and predicates memoized per edge should use
-// LocalPred instead, which takes precedence over Pred and receives the
-// shard, the local endpoint ids, and the local directed slot of the owned
-// row being folded.
+// CollectOptions mirrors sketch.CollectOptions for a partitioned graph. Pred
+// receives the global endpoints of the directed edge (v, u) being folded.
+// Predicates memoized per edge (the acd buddy bitmap) use LocalPred instead,
+// which takes precedence over Pred and receives the shard, the local
+// endpoint ids, and the local directed slot of the owned row being folded.
 type CollectOptions struct {
 	IncludeSelf bool
-	Pred        func(v, u, slot int) bool
+	Pred        func(v, u int) bool
 	LocalPred   func(s, lv, lu, lslot int) bool
 }
 
@@ -149,6 +158,7 @@ type CollectOptions struct {
 // estimate and predicate passes that follow. Returns the charged payload
 // bits.
 func (e *Engine[C]) Collect(cg *cluster.CG, phase string, opts CollectOptions) (int, error) {
+	e.syncPools()
 	k := e.SG.NumShards()
 	cg.ChargeHRounds(phase, 1, 0) // payload charged below with true size
 	shardBits := make([]int, k)
@@ -163,17 +173,10 @@ func (e *Engine[C]) Collect(cg *cluster.CG, phase string, opts CollectOptions) (
 			localOpts.Pred = func(lv, lu, lslot int) bool {
 				return pred(s, lv, lu, lslot)
 			}
-		case opts.Pred != nil && sl.SlotToGlobal != nil:
-			pred := opts.Pred
-			localOpts.Pred = func(lv, lu, lslot int) bool {
-				return pred(sl.Lo+lv, sl.ToGlobal(lu), int(sl.SlotToGlobal[lslot]))
-			}
 		case opts.Pred != nil:
-			// Streaming slices carry no slot map; slot-free predicates (the
-			// profile wave) still work with the sentinel.
 			pred := opts.Pred
 			localOpts.Pred = func(lv, lu, lslot int) bool {
-				return pred(sl.Lo+lv, sl.ToGlobal(lu), -1)
+				return pred(sl.Lo+lv, sl.ToGlobal(lu))
 			}
 		}
 		bits, err := sketch.CollectRows(sl.CSR, e.Kernel, &st.samples, &st.out, localOpts, sl.Own(), e.pools[s])
@@ -205,12 +208,6 @@ func (e *Engine[C]) Collect(cg *cluster.CG, phase string, opts CollectOptions) (
 func (e *Engine[C]) Row(v int) []C {
 	s := e.SG.Owner(v)
 	return e.states[s].out.Row(v - e.SG.Slices[s].Lo)
-}
-
-// SampleRow returns the sample row of global vertex v from its owner shard.
-func (e *Engine[C]) SampleRow(v int) []C {
-	s := e.SG.Owner(v)
-	return e.states[s].samples.Row(v - e.SG.Slices[s].Lo)
 }
 
 // OutRowLocal returns the out row of a local id within shard s — owned or
@@ -264,18 +261,7 @@ func (e *Engine[C]) exchange(phase string, arena func(s int) *sketch.Arena[C]) e
 	return nil
 }
 
-// Trials returns the sample width of the current wave.
-func (e *Engine[C]) Trials() int { return e.trials }
-
 // ResetStats clears the exchange bookkeeping between runs.
 func (e *Engine[C]) ResetStats() {
 	e.Stats = ExchangeStats{PairBits: make(map[[2]int]int64)}
-}
-
-// Validate sanity-checks that the engine and graph agree on shard count.
-func (e *Engine[C]) Validate() error {
-	if len(e.states) != e.SG.NumShards() {
-		return fmt.Errorf("shard: %d states for %d shards", len(e.states), e.SG.NumShards())
-	}
-	return nil
 }

@@ -97,15 +97,19 @@ func TestShardedCollectByteIdentity(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	preds := map[string]func(v, u, slot int) bool{
+	preds := map[string]func(v, u int) bool{
 		"all":  nil,
-		"even": func(v, u, slot int) bool { return (v+u)%2 == 0 },
+		"even": func(v, u int) bool { return (v+u)%2 == 0 },
 	}
 	const width = 48
 	for gname, h := range graphs {
 		cg := testCG(t, h, 3)
 		for pname, pred := range preds {
-			want, wantBits, wantRounds := runUnsharded(t, cg, width, sketch.CollectOptions{Pred: pred})
+			var slotPred func(v, u, slot int) bool
+			if pred != nil {
+				slotPred = func(v, u, _ int) bool { return pred(v, u) }
+			}
+			want, wantBits, wantRounds := runUnsharded(t, cg, width, sketch.CollectOptions{Pred: slotPred})
 			for _, shards := range []int{1, 2, 4, 7} {
 				for _, par := range []int{1, 4} {
 					got, gotBits, gotRounds, stats := runSharded(t, cg, shards, par, width, CollectOptions{Pred: pred})
@@ -198,6 +202,30 @@ func TestShardedEmptyAndTinyShards(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("shards=%d: rows diverge at cell %d", shards, i)
 			}
+		}
+	}
+}
+
+// TestEnginePoolsFollowParallelism pins that pool shares are split from the
+// parallelism in force when a wave starts, not at construction: an engine
+// built at parallelism 1 and driven at 4 must run four workers, or serial
+// versus parallel timings taken on one engine would measure nothing.
+func TestEnginePoolsFollowParallelism(t *testing.T) {
+	h := graph.Clique(8)
+	sg, err := graph.NewShardedGraph(h, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := parwork.SetParallelism(1)
+	defer parwork.SetParallelism(prev)
+	se := NewEngine(sg, sketch.MaxKernel{})
+	for _, par := range []int{4, 1} {
+		parwork.SetParallelism(par)
+		if err := se.FillSamples(16, 3, "wave"); err != nil {
+			t.Fatal(err)
+		}
+		if w := se.Pool(0).Workers(); w != par {
+			t.Fatalf("parallelism %d: pool runs %d workers", par, w)
 		}
 	}
 }
